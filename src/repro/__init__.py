@@ -125,7 +125,6 @@ from .analysis import (
     available_analysis_backends,
     evaluate_grid,
     make_analysis_backend,
-    make_vector_analysis,
     vector_supported,
     vector_wctt_map,
     vector_wctt_summary,

@@ -18,7 +18,6 @@ from .vector import (
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
     evaluate_grid,
-    make_vector_analysis,
     vector_supported,
     vector_ubd_entries,
     vector_wctt_map,
@@ -45,7 +44,6 @@ __all__ = [
     "VectorRegularAnalysis",
     "VectorWaWWaPAnalysis",
     "evaluate_grid",
-    "make_vector_analysis",
     "vector_supported",
     "vector_ubd_entries",
     "vector_wctt_map",

@@ -1,22 +1,23 @@
-"""The :class:`AnalysisBackend` interface and the analysis-backend registry.
+"""The :class:`AnalysisBackend` registry: the one way an analysis is chosen.
 
 Mirror of :mod:`repro.sim.backend` for the *analytical* side of the repo: a
 backend owns one way of bounding worst-case traversal times -- nothing else.
 The bound mathematics stay in :mod:`repro.core.wctt_regular`,
 :mod:`repro.core.wctt_weighted`, :mod:`repro.analysis.flowaware` and
 :mod:`repro.analysis.vector`; a backend adapts one of them to a small,
-uniform surface (``supports``, ``analysis``, ``wctt_packet``,
-``wctt_message``, ``wctt_map``, ``wctt_summary``), so competing analyses can
-be swept side by side over the same design points and cross-checked against
-each other and against simulation.
+uniform surface (``supports``, ``analysis``, ``vector_analysis``,
+``wctt_packet``, ``wctt_message``, ``wctt_map``, ``wctt_summary``), so
+competing analyses can be swept side by side over the same design points
+and cross-checked against each other and against simulation.
 
-Registered backends:
+Registered backends -- the four competing bounds:
 
 ``regular``
     The paper's regular-mesh bound (back-pressure-aware merging recursion,
-    all legal inputs contend).  Sound for round-robin arbitration only --
-    it refuses WaW configurations, where another input may be granted more
-    than once between two grants to ours.
+    all legal inputs contend; WaP designs contend with minimum-size
+    packets).  Sound for round-robin arbitration only -- it refuses WaW
+    configurations, where another input may be granted more than once
+    between two grants to ours.
 ``weighted``
     The paper's WaW+WaP closed-form bound (one weighted arbitration round
     per hop).  Requires a WaW+WaP configuration.
@@ -26,19 +27,25 @@ Registered backends:
 ``trajectory``
     Flow-set-aware path-following accumulation
     (:class:`~repro.analysis.flowaware.TrajectoryAnalysis`).
-``vector``
-    The numpy-vectorized engine of :mod:`repro.analysis.vector`; available
-    only where :func:`~repro.analysis.vector.vector_supported` says so
-    (numpy installed, plain XY mesh, no overflow risk) and bit-identical to
-    ``regular``/``weighted`` there.
+
+``make_analysis_backend(None)`` applies the paper's rule to each design
+point: ``weighted`` for WaW+WaP designs, ``regular`` for everything else,
+so WaW-only designs are refused with the ``regular`` backend's reason.
+
+The numpy kernels of :mod:`repro.analysis.vector` are not a choice: the
+``regular`` and ``weighted`` backends (and so the default) hand out their
+kernel from :meth:`AnalysisBackend.vector_analysis` wherever
+:func:`~repro.analysis.vector.vector_supported` accepts the design point,
+and the grid-shaped results (``wctt_map``, ``wctt_summary``, the UBD
+tables) use it.  The kernels are bit-identical to the scalar analyses, so
+the choice changes throughput, never a bound.
 
 Every backend additionally exposes ``validation_analysis`` /
 ``validation_bound``: the *burst-safe* variant of its bound, sound even
 against the non-conforming adversarial traffic the simulator-based
 validation machinery injects.  For the flow-aware analyses that is the
 analysis itself; the paper's weighted bound switches to unregulated
-contenders with all-to-one weights (exactly what
-:mod:`repro.analysis.validation` has always validated).
+contenders with all-to-one weights.
 """
 
 from __future__ import annotations
@@ -48,13 +55,18 @@ from typing import Dict, List, Optional, Type, Union
 from ..core.config import NoCConfig
 from ..core.flows import FlowSet
 from ..core.weights import WeightTable
-from ..core.wctt import WCTTSummary
+from ..core.wctt import WCTTSummary, design_label
 from ..core.wctt import wctt_map as _scalar_wctt_map
-from ..core.wctt import wctt_summary as _scalar_wctt_summary
 from ..core.wctt_regular import RegularMeshWCTTAnalysis
 from ..core.wctt_weighted import WaWWaPWCTTAnalysis
 from ..geometry import Coord
 from .flowaware import FlowAwareWCTTAnalysis, HolisticAnalysis, TrajectoryAnalysis
+from .vector import (
+    VectorRegularAnalysis,
+    VectorWaWWaPAnalysis,
+    vector_supported,
+    vector_wctt_map,
+)
 
 __all__ = [
     "AnalysisBackend",
@@ -134,6 +146,18 @@ class AnalysisBackend:
             config, destination=destination, flow_set=flow_set, weight_table=weight_table
         )
 
+    def vector_analysis(
+        self, config: NoCConfig, *, weight_table: Optional[WeightTable] = None
+    ):
+        """The numpy kernel of :meth:`analysis` for ``config``, or ``None``.
+
+        ``None`` when the backend has no kernel or
+        :func:`~repro.analysis.vector.vector_supported` refuses the design
+        point; callers then use the scalar :meth:`analysis`, which the
+        kernel matches bit for bit.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Uniform bound surface
     # ------------------------------------------------------------------
@@ -168,6 +192,9 @@ class AnalysisBackend:
     ) -> Dict[Coord, int]:
         """Per-source packet bound towards ``destination`` (UBD-table shape)."""
         self.require(config)
+        kernel = self.vector_analysis(config)
+        if kernel is not None:
+            return vector_wctt_map(kernel, destination, packet_flits=packet_flits)
         analysis = self.analysis(config, destination=destination)
         return _scalar_wctt_map(analysis, destination, packet_flits=packet_flits)
 
@@ -181,13 +208,9 @@ class AnalysisBackend:
     ) -> WCTTSummary:
         """Max/mean/min bound over all-to-one traffic towards ``destination``
         (default: the memory controller) -- one Table II row."""
-        self.require(config)
         dest = destination if destination is not None else config.memory_controller
-        analysis = self.analysis(config, destination=dest)
-        flows = FlowSet.all_to_one(config.mesh, dest)
-        return _scalar_wctt_summary(
-            analysis, flows, packet_flits=packet_flits, design_label=design_label
-        )
+        values = self.wctt_map(config, dest, packet_flits=packet_flits).values()
+        return WCTTSummary.from_values(config, values, design_label)
 
     def validation_bound(
         self,
@@ -215,7 +238,6 @@ _ALIASES: Dict[str, str] = {
     "regular-mesh": "regular",
     "waw_wap": "weighted",
     "waw-wap": "weighted",
-    "numpy": "vector",
 }
 #: Backends are stateless, so one instance per class suffices.
 _INSTANCES: Dict[str, AnalysisBackend] = {}
@@ -251,15 +273,12 @@ def make_analysis_backend(
 ) -> AnalysisBackend:
     """Resolve a backend name (or pass an instance through) to a backend.
 
-    ``None`` resolves to the paper's analysis pair: ``weighted`` bounds for
-    WaW+WaP design points, ``regular`` bounds for everything else -- i.e.
-    exactly what :func:`repro.core.wctt.make_wctt_analysis` has always
-    produced.  Because that default is config-dependent, ``None`` resolves
-    to the dispatching :class:`PaperAnalysisBackend` rather than a fixed
-    registry entry.
+    ``None`` resolves to the paper's rule, applied per design point:
+    ``weighted`` bounds for WaW+WaP designs, ``regular`` bounds for
+    everything else (which refuses WaW-only designs).
     """
     if spec is None:
-        return _paper_backend()
+        return _PAPER_RULE
     if isinstance(spec, AnalysisBackend):
         return spec
     if not isinstance(spec, str):
@@ -292,6 +311,12 @@ class RegularAnalysisBackend(AnalysisBackend):
             )
         return None
 
+    @staticmethod
+    def _contender_flits(config: NoCConfig) -> Optional[int]:
+        # WaP alone already shrinks every contending packet to the minimum
+        # size; without it contenders are maximum-size packets.
+        return config.min_packet_flits if config.is_wap else None
+
     def analysis(
         self,
         config: NoCConfig,
@@ -301,8 +326,19 @@ class RegularAnalysisBackend(AnalysisBackend):
         weight_table: Optional[WeightTable] = None,
     ) -> RegularMeshWCTTAnalysis:
         self.require(config)
-        contender = config.min_packet_flits if config.is_wap else None
-        return RegularMeshWCTTAnalysis(config, contender_packet_flits=contender)
+        return RegularMeshWCTTAnalysis(
+            config, contender_packet_flits=self._contender_flits(config)
+        )
+
+    def vector_analysis(
+        self, config: NoCConfig, *, weight_table: Optional[WeightTable] = None
+    ) -> Optional[VectorRegularAnalysis]:
+        self.require(config)
+        if vector_supported(config) is not None:
+            return None
+        return VectorRegularAnalysis(
+            config, contender_packet_flits=self._contender_flits(config)
+        )
 
 
 @register_analysis_backend
@@ -337,8 +373,7 @@ class WeightedAnalysisBackend(AnalysisBackend):
         weight_table: Optional[WeightTable] = None,
     ) -> WaWWaPWCTTAnalysis:
         # Burst-safe variant: unregulated contenders (own-buffer backlog
-        # charged) with weights matching the validated all-to-one traffic --
-        # the analysis repro.analysis.validation has always checked.
+        # charged) with weights matching the validated all-to-one traffic.
         self.require(config)
         if weight_table is None:
             dest = destination if destination is not None else config.memory_controller
@@ -346,6 +381,14 @@ class WeightedAnalysisBackend(AnalysisBackend):
                 FlowSet.all_to_one(config.mesh, dest)
             )
         return WaWWaPWCTTAnalysis(config, weight_table, regulated_contenders=False)
+
+    def vector_analysis(
+        self, config: NoCConfig, *, weight_table: Optional[WeightTable] = None
+    ) -> Optional[VectorWaWWaPAnalysis]:
+        self.require(config)
+        if vector_supported(config) is not None:
+            return None
+        return VectorWaWWaPAnalysis(config, weight_table)
 
 
 # ----------------------------------------------------------------------
@@ -389,158 +432,38 @@ class TrajectoryAnalysisBackend(_FlowAwareBackend):
 
 
 # ----------------------------------------------------------------------
-# The numpy-vectorized engine
+# The default: the paper's rule
 # ----------------------------------------------------------------------
-@register_analysis_backend
-class VectorAnalysisBackend(AnalysisBackend):
-    """The numpy array engine -- bit-identical to the paper pair where it
-    applies, evaluated grid-at-a-time."""
-
-    name = "vector"
-    description = "numpy-vectorized paper bounds (grid-at-a-time, plain XY mesh only)"
-
-    def supports(self, config: NoCConfig) -> Optional[str]:
-        from .vector import vector_supported
-
-        # vector_supported reports "numpy is not installed" itself when the
-        # import guard tripped, so one delegation covers every reason.
-        return vector_supported(config)
-
-    def analysis(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        flow_set: Optional[FlowSet] = None,
-        weight_table: Optional[WeightTable] = None,
-    ):
-        from .vector import make_vector_analysis
-
-        self.require(config)
-        return make_vector_analysis(config, weight_table=weight_table)
-
-    def validation_analysis(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        flow_set: Optional[FlowSet] = None,
-        weight_table: Optional[WeightTable] = None,
-    ):
-        from .vector import VectorWaWWaPAnalysis
-
-        self.require(config)
-        if not config.is_waw_wap:
-            return self.analysis(config)
-        if weight_table is None:
-            dest = destination if destination is not None else config.memory_controller
-            weight_table = WeightTable.from_flow_set(
-                FlowSet.all_to_one(config.mesh, dest)
-            )
-        return VectorWaWWaPAnalysis(config, weight_table, regulated_contenders=False)
-
-    # The vector analyses expose grid-shaped kernels rather than the scalar
-    # protocol, so the uniform surface is implemented on top of the grids.
-    def wctt_packet(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        packet_flits: Optional[int] = None,
-    ) -> int:
-        grid = self.analysis(config).wctt_grid_to(destination, packet_flits=packet_flits)
-        return int(grid[source.y, source.x])
-
-    def wctt_message(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        payload_flits: int,
-    ) -> int:
-        grid = self.analysis(config).message_grid_to(
-            destination, payload_flits=payload_flits
-        )
-        return int(grid[source.y, source.x])
-
-    def wctt_map(
-        self, config: NoCConfig, destination: Coord, *, packet_flits: int = 1
-    ) -> Dict[Coord, int]:
-        from .vector import vector_wctt_map
-
-        return vector_wctt_map(
-            self.analysis(config), destination, packet_flits=packet_flits
-        )
-
-    def wctt_summary(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        packet_flits: int = 1,
-        design_label: Optional[str] = None,
-    ) -> WCTTSummary:
-        from .vector import vector_wctt_summary
-
-        self.require(config)
-        if destination is not None and destination != config.memory_controller:
-            return super().wctt_summary(
-                config,
-                destination=destination,
-                packet_flits=packet_flits,
-                design_label=design_label,
-            )
-        return vector_wctt_summary(
-            config, packet_flits=packet_flits, design_label=design_label
-        )
-
-    def validation_bound(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        packet_flits: Optional[int] = None,
-        weight_table: Optional[WeightTable] = None,
-    ) -> int:
-        analysis = self.validation_analysis(
-            config, destination=destination, weight_table=weight_table
-        )
-        grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
-        return int(grid[source.y, source.x])
+#: The paper's analysis for each design label of
+#: :func:`repro.core.wctt.design_label`.
+_PAPER_ANALYSIS = {"WaW+WaP": "weighted", "regular": "regular"}
 
 
-class PaperAnalysisBackend(AnalysisBackend):
-    """Config-dispatching default: ``weighted`` on WaW+WaP, else ``regular``.
-
-    Not registered (its name would shadow neither constituent); it backs
-    ``make_analysis_backend(None)`` so "no backend selected" keeps meaning
-    "the paper's analysis for this design point".
-    """
+class _PaperRule(AnalysisBackend):
+    """``make_analysis_backend(None)``: every call goes to the registered
+    backend the paper picks for the design point."""
 
     name = "paper"
-    description = "paper default: weighted bound on WaW+WaP designs, regular otherwise"
+    description = "the paper's bound for the design point: weighted on WaW+WaP, else regular"
 
-    def _delegate(self, config: NoCConfig) -> AnalysisBackend:
-        return make_analysis_backend("weighted" if config.is_waw_wap else "regular")
+    @staticmethod
+    def _pick(config: NoCConfig) -> AnalysisBackend:
+        return make_analysis_backend(_PAPER_ANALYSIS[design_label(config)])
 
     def supports(self, config: NoCConfig) -> Optional[str]:
-        return self._delegate(config).supports(config)
+        return self._pick(config).supports(config)
+
+    def require(self, config: NoCConfig) -> None:
+        self._pick(config).require(config)
 
     def analysis(self, config: NoCConfig, **kwargs):
-        return self._delegate(config).analysis(config, **kwargs)
+        return self._pick(config).analysis(config, **kwargs)
 
     def validation_analysis(self, config: NoCConfig, **kwargs):
-        return self._delegate(config).validation_analysis(config, **kwargs)
+        return self._pick(config).validation_analysis(config, **kwargs)
+
+    def vector_analysis(self, config: NoCConfig, **kwargs):
+        return self._pick(config).vector_analysis(config, **kwargs)
 
 
-_PAPER_BACKEND: Optional[PaperAnalysisBackend] = None
-
-
-def _paper_backend() -> PaperAnalysisBackend:
-    global _PAPER_BACKEND
-    if _PAPER_BACKEND is None:
-        _PAPER_BACKEND = PaperAnalysisBackend()
-    return _PAPER_BACKEND
+_PAPER_RULE = _PaperRule()

@@ -21,13 +21,19 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.config import NoCConfig
-from ..core.wctt import make_wctt_analysis
-from ..core.wctt_weighted import WaWWaPWCTTAnalysis
+from ..core.wctt import design_label
+from ..core.weights import WeightTable
 from ..geometry import Coord
 from ..noc.network import Network
 from ..workloads.synthetic import AdversarialCongestionTraffic
+from .backends import make_analysis_backend
 
-__all__ = ["BoundValidationResult", "validate_flow_bound", "validate_design"]
+__all__ = [
+    "BoundValidationResult",
+    "adversarial_probe_latencies",
+    "validate_flow_bound",
+    "validate_design",
+]
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,41 @@ class BoundValidationResult:
         return self.observed_worst / self.analytical_bound if self.analytical_bound else 0.0
 
 
+def adversarial_probe_latencies(
+    config: NoCConfig,
+    source: Coord,
+    destination: Coord,
+    *,
+    weight_table: Optional[WeightTable] = None,
+    congestion_cycles: int = 2_000,
+    background_outstanding: int = 4,
+    probe_period: int = 200,
+    payload_flits: Optional[int] = None,
+) -> List[int]:
+    """Network latencies of the victim flow's probes under adversarial congestion.
+
+    Every node whose path overlaps the victim's keeps
+    ``background_outstanding`` messages towards ``destination``; the WaW
+    arbiters run with ``weight_table`` (default: the network's own).
+    ``payload_flits`` defaults to the design's minimum packet size.
+    """
+    payload = payload_flits if payload_flits is not None else config.min_packet_flits
+    network = Network(config, weight_table=weight_table)
+    traffic = AdversarialCongestionTraffic(
+        mesh=config.mesh,
+        victim_source=source,
+        victim_destination=destination,
+        background_outstanding=background_outstanding,
+        probe_period=probe_period,
+        payload_flits=payload,
+    )
+    probes, _ = traffic.drive(network, congestion_cycles)
+    latencies = [p.network_latency for p in probes if p.network_latency is not None]
+    if not latencies:
+        raise RuntimeError("no probe completed during validation")
+    return latencies
+
+
 def validate_flow_bound(
     config: NoCConfig,
     source: Coord,
@@ -66,44 +107,33 @@ def validate_flow_bound(
 
     ``payload_flits`` defaults to the design's minimum packet size so that a
     probe is a single packet in both designs and the measurement compares
-    directly against :meth:`wctt_packet`.
+    directly against :meth:`wctt_packet`.  Design points without a sound
+    bound (WaW-only) raise ``ValueError``.
     """
     payload = payload_flits if payload_flits is not None else config.min_packet_flits
-
-    if config.is_waw_wap:
-        # The adversarial background traffic keeps several packets per flow
-        # outstanding, i.e. it does *not* conform to the per-round regulation
-        # the paper-style bound assumes, so the comparison uses the
-        # backlog-aware (burst-safe) variant of the WaW+WaP bound.
-        analysis = WaWWaPWCTTAnalysis.for_memory_traffic(
-            config, include_replies=False, regulated_contenders=False
-        )
-    else:
-        analysis = make_wctt_analysis(config)
-    bound = analysis.wctt_packet(source, destination, packet_flits=payload)
-
-    network = Network(
-        config,
-        weight_table=analysis.weights if isinstance(analysis, WaWWaPWCTTAnalysis) else None,
+    # The adversarial background traffic keeps several packets per flow
+    # outstanding, i.e. it does *not* conform to the per-round regulation
+    # the paper-style WaW+WaP bound assumes, so the comparison uses the
+    # backlog-aware (burst-safe) variant of the design point's bound.
+    analysis = make_analysis_backend(None).validation_analysis(
+        config, destination=destination
     )
-    traffic = AdversarialCongestionTraffic(
-        mesh=config.mesh,
-        victim_source=source,
-        victim_destination=destination,
+    latencies = adversarial_probe_latencies(
+        config,
+        source,
+        destination,
+        # The simulated arbiters run with the weights the bound assumes.
+        weight_table=getattr(analysis, "weights", None),
+        congestion_cycles=congestion_cycles,
         background_outstanding=background_outstanding,
         probe_period=probe_period,
         payload_flits=payload,
     )
-    probes, _ = traffic.drive(network, congestion_cycles)
-    latencies = [p.network_latency for p in probes if p.network_latency is not None]
-    if not latencies:
-        raise RuntimeError("no probe completed during validation")
-
     return BoundValidationResult(
-        design="WaW+WaP" if config.is_waw_wap else "regular",
+        design=design_label(config),
         source=source,
         destination=destination,
-        analytical_bound=bound,
+        analytical_bound=analysis.wctt_packet(source, destination, packet_flits=payload),
         observed_worst=max(latencies),
         probes=len(latencies),
     )

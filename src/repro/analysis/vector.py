@@ -41,14 +41,14 @@ Scope: edge-bounded meshes (plain :class:`~repro.geometry.Mesh`,
 :class:`~repro.topology.concentrated.ConcentratedMesh`) with XY routing
 and the ``merging`` contender policy.  Everything else (torus, ring, YX,
 ``any_direction``) falls back to the scalar reference --
-:func:`vector_supported` is the single gatekeeper the wiring in
-:mod:`repro.experiments.scenario_wctt` and :class:`repro.core.ubd.UBDTable`
-consults.
+:func:`vector_supported` is the single gatekeeper.  Nothing here chooses
+between the two kernels: the ``regular`` and ``weighted`` analysis
+backends of :mod:`repro.analysis.backends` hand out theirs from
+``AnalysisBackend.vector_analysis``.
 """
 
 from __future__ import annotations
 
-from statistics import mean
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:  # numpy is an install_requires, but degrade gracefully without it.
@@ -72,7 +72,6 @@ __all__ = [
     "vector_supported",
     "VectorWaWWaPAnalysis",
     "VectorRegularAnalysis",
-    "make_vector_analysis",
     "vector_wctt_map",
     "vector_wctt_summary",
     "vector_ubd_entries",
@@ -719,18 +718,32 @@ class VectorRegularAnalysis:
         self._base_cache[destination] = base
         return base
 
-    def wctt_grid_to(self, destination: Coord, *, packet_flits: Optional[int] = None):
-        """Packet WCTT of every source towards ``destination`` (object ints)."""
+    def base_grid_from(self, source: Coord):
+        """Like :meth:`base_grid_to`, from ``source`` to every destination.
+
+        Gathered from one to-destination grid per destination (each cached),
+        so the from-grid costs a full sweep once per design point.
+        """
+        self.mesh.require(source)
+        grid = np.zeros((self.mesh.height, self.mesh.width), dtype=object)
+        for destination in self.mesh.nodes():
+            if destination != source:
+                grid[destination.y, destination.x] = self.base_grid_to(destination)[
+                    source.y, source.x
+                ]
+        return grid
+
+    def _packet_grid(self, base, node: Coord, packet_flits: Optional[int]):
         own = (
             packet_flits if packet_flits is not None else self.config.max_packet_flits
         )
         if own < 1:
             raise ValueError("packet_flits must be >= 1")
-        grid = self.base_grid_to(destination) + own * self._fc
-        grid[destination.y, destination.x] = 0
+        grid = base + own * self._fc
+        grid[node.y, node.x] = 0
         return grid
 
-    def message_grid_to(self, destination: Coord, *, payload_flits: int):
+    def _message_grid(self, base, node: Coord, payload_flits: int):
         """Whole-message WCTT (maximum-size packets plus one remainder)."""
         if payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
@@ -738,11 +751,23 @@ class VectorRegularAnalysis:
         full, rest = divmod(payload_flits, max_flits)
         grid = np.zeros((self.mesh.height, self.mesh.width), dtype=object)
         if full:
-            grid = grid + full * self.wctt_grid_to(destination, packet_flits=max_flits)
+            grid = grid + full * self._packet_grid(base, node, max_flits)
         if rest:
-            grid = grid + self.wctt_grid_to(destination, packet_flits=rest)
-        grid[destination.y, destination.x] = 0
+            grid = grid + self._packet_grid(base, node, rest)
+        grid[node.y, node.x] = 0
         return grid
+
+    def wctt_grid_to(self, destination: Coord, *, packet_flits: Optional[int] = None):
+        """Packet WCTT of every source towards ``destination`` (object ints)."""
+        return self._packet_grid(self.base_grid_to(destination), destination, packet_flits)
+
+    def message_grid_to(self, destination: Coord, *, payload_flits: int):
+        """Whole-message WCTT of every source towards ``destination``."""
+        return self._message_grid(self.base_grid_to(destination), destination, payload_flits)
+
+    def message_grid_from(self, source: Coord, *, payload_flits: int):
+        """Whole-message WCTT from ``source`` to every destination."""
+        return self._message_grid(self.base_grid_from(source), source, payload_flits)
 
 
 # ----------------------------------------------------------------------
@@ -751,20 +776,12 @@ class VectorRegularAnalysis:
 VectorAnalysisType = Union[VectorWaWWaPAnalysis, VectorRegularAnalysis]
 
 
-def make_vector_analysis(
-    config: NoCConfig,
-    *,
-    weight_table: Optional[WeightTable] = None,
-    contender_packet_flits: Optional[int] = None,
-) -> VectorAnalysisType:
-    """Vector counterpart of :func:`repro.core.wctt.make_wctt_analysis`."""
-    if config.is_waw_wap:
-        return VectorWaWWaPAnalysis(config, weight_table)
-    if contender_packet_flits is None and config.is_wap:
-        contender_packet_flits = config.min_packet_flits
-    return VectorRegularAnalysis(
-        config, contender_packet_flits=contender_packet_flits
-    )
+def _default_backend():
+    """``make_analysis_backend(None)``: the paper's rule picks the kernel."""
+    # Imported lazily: repro.analysis.backends depends on this module.
+    from .backends import make_analysis_backend
+
+    return make_analysis_backend(None)
 
 
 def _grid_to_map(mesh: Mesh, grid, destination: Coord) -> Dict[Coord, int]:
@@ -794,53 +811,33 @@ def vector_wctt_summary(
 
     Equivalent to ``wctt_summary(make_wctt_analysis(config),
     FlowSet.all_to_one(mesh, memory_controller), packet_flits=...)`` but
-    computed from one to-destination grid.  The mean reuses
-    :func:`statistics.mean` over the exact python ints so even the float
-    rounding matches the scalar path.
+    computed from one to-destination grid of the default backend's kernel.
+    The mean reuses :func:`statistics.mean` over the exact python ints so
+    even the float rounding matches the scalar path.
     """
-    analysis = make_vector_analysis(config, weight_table=weight_table)
-    destination = config.memory_controller
-    values = [
-        int(v)
-        for v in vector_wctt_map(
-            analysis, destination, packet_flits=packet_flits
-        ).values()
-    ]
-    if not values:
-        raise ValueError("flow set is empty")
-    label = design_label if design_label is not None else (
-        "WaW+WaP" if config.is_waw_wap else "regular"
-    )
-    return WCTTSummary(
-        design=label,
-        mesh=config.topology.short_label(),
-        maximum=max(values),
-        average=mean(values),
-        minimum=min(values),
-        flow_count=len(values),
-    )
+    analysis = _default_backend().vector_analysis(config, weight_table=weight_table)
+    if analysis is None:
+        raise ValueError(f"configuration not vectorizable: {vector_supported(config)}")
+    values = vector_wctt_map(
+        analysis, config.memory_controller, packet_flits=packet_flits
+    ).values()
+    return WCTTSummary.from_values(config, values, design_label)
 
 
 def vector_ubd_entries(
-    config: NoCConfig,
-    *,
-    weight_table: Optional[WeightTable] = None,
-    regulated_contenders: bool = True,
-    service_latency: int = 30,
+    analysis: VectorAnalysisType, *, service_latency: int = 30
 ) -> Dict[Coord, Any]:
-    """Per-core UBD entries from the vectorized WaW+WaP kernels.
+    """Per-core UBD entries from a vector kernel.
 
-    Vector counterpart of :meth:`repro.core.ubd.UBDTable._build` for
-    WaW+WaP design points: four message grids (request/reply towards and
-    from the memory controller) replace the per-core route walks.  Returns
+    Vector counterpart of the per-core route walks of
+    :class:`repro.core.ubd.UBDTable`: four message grids (request/reply
+    towards and from the memory controller) fill every entry.  Returns
     ``{core: UBDEntry}`` in mesh iteration order, bit-identical to the
     scalar table.
     """
     from ..core.ubd import UBDEntry
 
-    analysis = VectorWaWWaPAnalysis(
-        config, weight_table, regulated_contenders=regulated_contenders
-    )
+    config = analysis.config
     mc = config.memory_controller
     msgs = config.messages
     request = analysis.message_grid_to(mc, payload_flits=msgs.request_flits)
@@ -896,7 +893,7 @@ class GridEvaluator:
         cached = self._cache.get(key)
         if cached is None:
             self.misses += 1
-            analysis = make_vector_analysis(config)
+            analysis = _default_backend().vector_analysis(config)
             destination = config.memory_controller
             if isinstance(analysis, VectorWaWWaPAnalysis):
                 base = list(
@@ -934,27 +931,10 @@ class GridEvaluator:
         if isinstance(scenario, Mapping):
             scenario = Scenario.from_dict(scenario)
         config = scenario.build()
-        reason = vector_supported(config)
-        if reason is not None:
-            # Scalar fallback keeps grid evaluation total over any sweep.
-            from ..core.flows import FlowSet
-            from ..core.wctt import make_wctt_analysis, wctt_summary
-
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            return wctt_summary(
-                make_wctt_analysis(config), flows, packet_flits=packet_flits
-            )
+        if vector_supported(config) is not None:
+            return _default_backend().wctt_summary(config, packet_flits=packet_flits)
         values = self._values(scenario.to_dict(), config, packet_flits)
-        if not values:
-            raise ValueError("flow set is empty")
-        return WCTTSummary(
-            design="WaW+WaP" if config.is_waw_wap else "regular",
-            mesh=config.topology.short_label(),
-            maximum=max(values),
-            average=mean(values),
-            minimum=min(values),
-            flow_count=len(values),
-        )
+        return WCTTSummary.from_values(config, values)
 
 
 def evaluate_grid(
@@ -963,8 +943,9 @@ def evaluate_grid(
     """Batch-evaluate the WCTT summary of every scenario in ``scenarios``.
 
     ``packet_flits`` may be a single size or one size per scenario.  Design
-    points the vector engine does not support transparently fall back to
-    the scalar reference, so the result list is always complete.
+    points the vector kernels do not support are evaluated by the default
+    analysis backend's scalar analysis, so the result list is always
+    complete.
     """
     scenarios = list(scenarios)
     if isinstance(packet_flits, int):

@@ -14,9 +14,7 @@ Each experiment module registers its ``run()`` function with::
 The decorator wraps the function so it returns an
 :class:`~repro.api.results.ExperimentResult` (carrying the call parameters
 and the paper reference) and records an :class:`ExperimentSpec` in the global
-registry, which the CLI and the batch engine use for discovery.  The old
-hand-maintained ``EXPERIMENTS`` dict in ``runner.py`` is now derived from
-this registry.
+registry, which the CLI and the batch engine use for discovery.
 """
 
 from __future__ import annotations

@@ -181,9 +181,9 @@ class Scenario:
         """Select the analysis backend bounding this design point's WCTTs.
 
         ``name`` is a registered :mod:`repro.analysis` backend (``regular``,
-        ``weighted``, ``holistic``, ``trajectory``, ``vector``); ``None``
-        removes the selection again, restoring the default -- the paper's
-        analysis pair, dispatched on the design point.  Unlike the
+        ``weighted``, ``holistic``, ``trajectory``); ``None`` removes the
+        selection again, restoring the default -- the paper's rule picks the
+        bound for the design point.  Unlike the
         simulation :meth:`backend`, the analysis choice *does* change
         numbers: backends are competing bounds of different tightness (each
         validated for soundness by ``tests/test_backend_soundness.py`` and
@@ -579,10 +579,9 @@ def sweep(base: Optional[Scenario] = None, **grid: Any) -> List[Scenario]:
     Axes: ``mesh``, ``design``, ``topology`` (kind names or mappings like
     ``{"kind": "cmesh", "concentration": 2}``), ``backend`` (simulation
     backend name, ``cycle`` or ``event``), ``analysis`` (analysis backend
-    name, e.g. ``regular``/``weighted``/``holistic``/``trajectory``/
-    ``vector``), ``max_packet_flits``,
-    ``min_packet_flits``, ``buffer_depth`` and ``memory_controller`` (an
-    ``(x, y)`` pair).
+    name, e.g. ``regular``/``weighted``/``holistic``/``trajectory``),
+    ``max_packet_flits``, ``min_packet_flits``, ``buffer_depth`` and
+    ``memory_controller`` (an ``(x, y)`` pair).
 
     Mesh axis values are square sizes; a bare 2-tuple of ints is two square
     sizes (``mesh=(8, 4)`` is an 8x8 and a 4x4).  Rectangular meshes must be

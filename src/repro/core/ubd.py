@@ -25,11 +25,12 @@ experiments consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..geometry import Coord
 from .config import NoCConfig
-from .wctt import AnalysisType, make_wctt_analysis
+from .flows import FlowSet
+from .wctt import AnalysisType
 from .weights import WeightTable
 
 __all__ = ["MemoryTiming", "UBDEntry", "UBDTable"]
@@ -71,20 +72,19 @@ class UBDEntry:
 class UBDTable:
     """Per-core upper bound delays for one NoC design point.
 
-    ``engine`` selects how the table is filled: ``"auto"`` (default) uses
-    the vectorized WaW+WaP kernels of :mod:`repro.analysis.vector` when the
-    design point supports them (four message grids replace the per-core
-    route walks) and falls back to the scalar analysis otherwise;
-    ``"scalar"`` forces the reference path.  Both fill the table with
-    bit-identical values (``tests/test_differential_analysis.py``).
+    ``backend`` names the registered :class:`~repro.analysis.AnalysisBackend`
+    whose bound fills the WCTT legs (``regular``, ``weighted``,
+    ``holistic``, ``trajectory``); the default ``None`` applies the paper's
+    rule for the design point and refuses WaW-only designs.  The analysis is
+    built over the table's request/reply memory-traffic flow set: by default
+    the WaW weights are the ones the evaluated manycore would be configured
+    with (derived from that flow set), and flow-aware backends bound exactly
+    the traffic the table describes.  Where the backend has a numpy kernel
+    for the design point, four message grids fill the table in one pass
+    (bit-identical to the per-core route walks).
 
-    ``backend`` selects a registered :class:`~repro.analysis.AnalysisBackend`
-    by name (``regular``, ``weighted``, ``holistic``, ``trajectory``,
-    ``vector``) to compute the WCTT legs with; the default ``None`` keeps
-    the paper's analysis for the design point.  The analysis is built over
-    the table's request/reply memory-traffic flow set, so flow-aware
-    backends bound exactly the traffic the table describes.  Mutually
-    exclusive with passing a ready ``analysis`` object.
+    A ready ``analysis`` object may be passed instead of ``backend``; the
+    table is then filled from that object alone.
     """
 
     def __init__(
@@ -94,52 +94,28 @@ class UBDTable:
         memory: Optional[MemoryTiming] = None,
         analysis: Optional[AnalysisType] = None,
         weight_table: Optional[WeightTable] = None,
-        engine: str = "auto",
         backend: Optional[str] = None,
     ):
-        if engine not in ("auto", "scalar"):
-            raise ValueError(f"engine must be 'auto' or 'scalar', got {engine!r}")
         self.config = config
-        self.engine = engine
         self.memory = memory if memory is not None else MemoryTiming()
-        if backend is not None and analysis is not None:
+        if analysis is None:
+            self.analysis, self._entries = self._from_backend(backend, weight_table)
+        elif backend is not None:
             raise ValueError("pass either backend= or analysis=, not both")
-        if backend is not None:
-            self.analysis = self._backend_analysis(backend, weight_table)
-        elif analysis is not None:
-            self.analysis: AnalysisType = analysis
-        elif config.is_waw_wap and weight_table is None:
-            # The UBD table describes memory traffic (cores <-> memory
-            # controller), so by default the WaW weights are the ones the
-            # evaluated manycore would be configured with: those derived from
-            # that request/reply flow set.
-            from .wctt_weighted import WaWWaPWCTTAnalysis
-
-            self.analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
         else:
-            self.analysis = make_wctt_analysis(config, weight_table=weight_table)
-        self._entries: Dict[Coord, UBDEntry] = {}
-        self._build()
+            self.analysis = analysis
+            self._entries = self._walk_routes(analysis)
 
     # ------------------------------------------------------------------
-    def _backend_analysis(self, backend: str, weight_table: Optional[WeightTable]):
-        """Resolve ``backend=`` into an analysis over the memory flow set."""
+    def _from_backend(
+        self, backend: Optional[str], weight_table: Optional[WeightTable]
+    ) -> Tuple[AnalysisType, Dict[Coord, UBDEntry]]:
+        """Fill the table with ``backend``'s bound over the memory flow set."""
         # Imported lazily: repro.analysis depends on this module.
         from ..analysis.backends import make_analysis_backend
+        from ..analysis.vector import vector_ubd_entries
 
-        resolved = make_analysis_backend(backend)
-        resolved.require(self.config)
-        if resolved.name == "vector":
-            # The vector engine is the bit-identical fast path of the paper's
-            # pair; the table uses the same scalar analysis object and lets
-            # the (already required-supported) auto vector build fill it.
-            if self.config.is_waw_wap and weight_table is None:
-                from .wctt_weighted import WaWWaPWCTTAnalysis
-
-                return WaWWaPWCTTAnalysis.for_memory_traffic(self.config)
-            return make_wctt_analysis(self.config, weight_table=weight_table)
-        from .flows import FlowSet
-
+        selected = make_analysis_backend(backend)
         mesh = self.config.mesh
         mc = self.config.memory_controller
         pairs = [(src, mc) for src in mesh.nodes() if src != mc]
@@ -147,28 +123,32 @@ class UBDTable:
         flow_set = FlowSet.from_pairs(mesh, pairs)
         if weight_table is None and self.config.is_waw:
             weight_table = WeightTable.from_flow_set(flow_set)
-        return resolved.analysis(
+        analysis = selected.analysis(
             self.config, flow_set=flow_set, weight_table=weight_table
         )
+        kernel = selected.vector_analysis(self.config, weight_table=weight_table)
+        if kernel is None:
+            return analysis, self._walk_routes(analysis)
+        return analysis, vector_ubd_entries(
+            kernel, service_latency=self.memory.service_latency
+        )
 
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        if self.engine == "auto" and self._vector_build():
-            return
+    def _walk_routes(self, analysis: AnalysisType) -> Dict[Coord, UBDEntry]:
+        entries: Dict[Coord, UBDEntry] = {}
         mesh = self.config.mesh
         mc = self.config.memory_controller
         msgs = self.config.messages
         for core in mesh.nodes():
             if core == mc:
                 continue
-            request = self.analysis.wctt_message(core, mc, payload_flits=msgs.request_flits)
-            reply = self.analysis.wctt_message(mc, core, payload_flits=msgs.reply_flits)
-            eviction = self.analysis.wctt_message(core, mc, payload_flits=msgs.eviction_flits)
-            eviction_ack = self.analysis.wctt_message(
+            request = analysis.wctt_message(core, mc, payload_flits=msgs.request_flits)
+            reply = analysis.wctt_message(mc, core, payload_flits=msgs.reply_flits)
+            eviction = analysis.wctt_message(core, mc, payload_flits=msgs.eviction_flits)
+            eviction_ack = analysis.wctt_message(
                 mc, core, payload_flits=msgs.eviction_ack_flits
             )
             service = self.memory.service_latency
-            self._entries[core] = UBDEntry(
+            entries[core] = UBDEntry(
                 core=core,
                 load_ubd=request + service + reply,
                 eviction_ubd=eviction + service + eviction_ack,
@@ -177,25 +157,7 @@ class UBDTable:
                 eviction_wctt=eviction,
                 eviction_ack_wctt=eviction_ack,
             )
-
-    def _vector_build(self) -> bool:
-        """Fill the table through the vectorized kernels when applicable."""
-        from .wctt_weighted import WaWWaPWCTTAnalysis
-
-        if not isinstance(self.analysis, WaWWaPWCTTAnalysis):
-            return False
-        # Imported lazily: repro.analysis.vector depends on this module.
-        from ..analysis.vector import vector_supported, vector_ubd_entries
-
-        if vector_supported(self.config) is not None:
-            return False
-        self._entries = vector_ubd_entries(
-            self.config,
-            weight_table=self.analysis.weights,
-            regulated_contenders=self.analysis.regulated_contenders,
-            service_latency=self.memory.service_latency,
-        )
-        return True
+        return entries
 
     # ------------------------------------------------------------------
     def entry(self, core: Coord) -> UBDEntry:

@@ -1,10 +1,12 @@
 """Unified front-end over the two WCTT analyses.
 
-Most callers (the UBD tables, the experiments, the validation harness) do not
-care which analytical model applies -- they hold a :class:`NoCConfig` and
-want "the WCTT bound of this design point".  This module provides:
+Most callers (the experiments, the examples) do not care which analytical
+model applies -- they hold a :class:`NoCConfig` and want "the WCTT bound of
+this design point".  This module provides:
 
-* :func:`make_wctt_analysis` -- factory dispatching on the configuration;
+* :func:`make_wctt_analysis` -- the scalar analysis the paper's rule picks
+  for the configuration (see :mod:`repro.analysis.backends`);
+* :func:`design_label` -- the paper's name of a design point;
 * :class:`WCTTSummary` / :func:`wctt_summary` -- the max/mean/min statistics
   over a flow set that the paper's Table II reports;
 * :func:`wctt_map` -- the per-source WCTT map towards a single destination
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import Dict, Optional, Protocol, Union
+from typing import Dict, Iterable, Optional, Protocol, Union
 
 from ..geometry import Coord
 from .config import NoCConfig
@@ -27,6 +29,7 @@ from .wctt_weighted import WaWWaPWCTTAnalysis
 __all__ = [
     "WCTTAnalysis",
     "make_wctt_analysis",
+    "design_label",
     "WCTTSummary",
     "wctt_summary",
     "wctt_map",
@@ -54,21 +57,25 @@ def make_wctt_analysis(
     config: NoCConfig,
     *,
     weight_table: Optional[WeightTable] = None,
-    contender_packet_flits: Optional[int] = None,
 ) -> AnalysisType:
-    """Instantiate the WCTT analysis matching ``config``.
+    """The scalar WCTT analysis the paper's rule picks for ``config``.
 
-    A WaW+WaP configuration gets the bandwidth-share bound of
-    :class:`WaWWaPWCTTAnalysis`; anything else (including WaW-only or
-    WaP-only hybrids, analysed conservatively) gets the regular-mesh bound,
+    Shorthand for ``make_analysis_backend(None).analysis(config, ...)``: a
+    WaW+WaP configuration gets the bandwidth-share bound of
+    :class:`WaWWaPWCTTAnalysis`; anything else gets the regular-mesh bound,
     with the contender packet size reduced to the minimum packet size when
     WaP is active -- that is exactly the benefit WaP provides on its own.
+    WaW-only configurations have no sound bound and raise ``ValueError``.
     """
-    if config.is_waw_wap:
-        return WaWWaPWCTTAnalysis(config, weight_table)
-    if contender_packet_flits is None and config.is_wap:
-        contender_packet_flits = config.min_packet_flits
-    return RegularMeshWCTTAnalysis(config, contender_packet_flits=contender_packet_flits)
+    # Imported lazily: repro.analysis depends on this module.
+    from ..analysis.backends import make_analysis_backend
+
+    return make_analysis_backend(None).analysis(config, weight_table=weight_table)
+
+
+def design_label(config: NoCConfig) -> str:
+    """The paper's name of the design point: ``WaW+WaP`` or ``regular``."""
+    return "WaW+WaP" if config.is_waw_wap else "regular"
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,25 @@ class WCTTSummary:
             "flows": self.flow_count,
         }
 
+    @classmethod
+    def from_values(
+        cls, config: NoCConfig, values: Iterable[int], label: Optional[str] = None
+    ) -> "WCTTSummary":
+        """Summarise per-flow bounds of ``config`` (label: :func:`design_label`)."""
+        values = list(values)
+        if not values:
+            raise ValueError("flow set is empty")
+        return cls(
+            design=label if label is not None else design_label(config),
+            # ``short_label`` is "WxH" for the plain mesh (seed-identical rows)
+            # and carries the topology kind otherwise (e.g. "4x4 torus").
+            mesh=config.topology.short_label(),
+            maximum=max(values),
+            average=mean(values),
+            minimum=min(values),
+            flow_count=len(values),
+        )
+
 
 def wctt_summary(
     analysis: AnalysisType,
@@ -101,26 +127,11 @@ def wctt_summary(
     design_label: Optional[str] = None,
 ) -> WCTTSummary:
     """Compute max/mean/min packet WCTT over every flow of ``flow_set``."""
-    if len(flow_set) == 0:
-        raise ValueError("flow set is empty")
     values = [
         analysis.wctt_packet(flow.source, flow.destination, packet_flits=packet_flits)
         for flow in flow_set
     ]
-    config = analysis.config
-    label = design_label if design_label is not None else (
-        "WaW+WaP" if config.is_waw_wap else "regular"
-    )
-    return WCTTSummary(
-        design=label,
-        # ``short_label`` is "WxH" for the plain mesh (seed-identical rows)
-        # and carries the topology kind otherwise (e.g. "4x4 torus").
-        mesh=config.topology.short_label(),
-        maximum=max(values),
-        average=mean(values),
-        minimum=min(values),
-        flow_count=len(values),
-    )
+    return WCTTSummary.from_values(analysis.config, values, design_label)
 
 
 def wctt_map(

@@ -5,10 +5,7 @@ bounds and the flow-aware ``holistic`` / ``trajectory`` analyses) is
 evaluated over the same topology x workload x packet-size grid, and every
 bound is cross-checked against the worst probe traversal the cycle-accurate
 simulator observes under the most adversarial congestion it can express for
-that design point (the :mod:`repro.analysis.validation` machinery).  The
-vector backend is deliberately absent from the rows: it is bit-identical to
-the paper pair by contract (``tests/test_differential_analysis.py``) and its
-inclusion would make the pinned golden output depend on numpy.
+that design point (the :mod:`repro.analysis.validation` machinery).
 
 Two disciplines shape the run:
 
@@ -43,8 +40,7 @@ from ..geometry import Coord
 
 __all__ = ["ComparisonRow", "SoundnessViolation", "run", "report"]
 
-#: Backends compared per design (the vector backend is excluded by design --
-#: see the module docstring).
+#: The competing registered backends bounding each design.
 DESIGN_BACKENDS: Dict[str, Tuple[str, ...]] = {
     "regular": ("regular", "holistic", "trajectory"),
     "waw_wap": ("weighted", "holistic", "trajectory"),

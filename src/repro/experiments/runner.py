@@ -32,8 +32,8 @@ blind-validated sweeps)::
 the experiments that drive the cycle-accurate simulator; both backends
 produce identical results, ``event`` skips idle cycles and is much faster.
 ``--analysis`` selects the analysis backend (``regular``, ``weighted``,
-``holistic``, ``trajectory``, ``vector``) for the experiments that accept
-one (currently ``scenario_wctt``).
+``holistic``, ``trajectory``) for the experiments that accept one
+(currently ``scenario_wctt``).
 
 The pre-subcommand invocation style keeps working: ``repro-experiments
 table2 fig2a``, ``repro-experiments --list`` and ``repro-experiments
@@ -64,33 +64,12 @@ from ..api import (
 )
 from ..sim import available_backends, normalize_backend_name
 
-__all__ = ["EXPERIMENTS", "main", "run_experiment"]
+__all__ = ["main", "run_experiment"]
 
 _SUBCOMMANDS = (
     "run", "list", "sweep", "export", "serve", "submit", "status", "fetch",
     "cache", "campaign",
 )
-
-
-def _build_legacy_experiments() -> Dict[str, Dict[str, Any]]:
-    """The historical ``EXPERIMENTS`` mapping, now derived from the registry.
-
-    Kept for backwards compatibility: name -> {description, default report
-    builder, quick report builder}.  New code should use
-    :func:`repro.api.get_experiment` instead.
-    """
-    table: Dict[str, Dict[str, Any]] = {}
-    for spec in list_experiments():
-        table[spec.name] = {
-            "description": spec.description,
-            "default": (lambda s=spec: s.report_text()),
-            "quick": (lambda s=spec: s.report_text(quick=True)),
-        }
-    return table
-
-
-#: Deprecated compatibility view of the registry (see _build_legacy_experiments).
-EXPERIMENTS: Dict[str, Dict[str, Any]] = _build_legacy_experiments()
 
 
 def run_experiment(name: str, *, quick: bool = False) -> str:

@@ -16,8 +16,8 @@ independently::
 
 The evaluation is the paper's all-to-one memory-traffic pattern: every node
 sends to the scenario's memory controller, and the packet WCTT bound of the
-scenario's design (regular or WaW+WaP analysis, chosen by
-:func:`make_wctt_analysis`) is summarised over all flows.
+analysis backend the registry picks (:func:`make_analysis_backend`) is
+summarised over all flows.
 """
 
 from __future__ import annotations
@@ -25,11 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..analysis.backends import make_analysis_backend
 from ..analysis.reporting import format_table, format_title
 from ..api.registry import experiment
 from ..api.results import unwrap
 from ..api.scenario import Scenario
-from ..core import FlowSet, make_wctt_analysis, wctt_summary
+
+# Not called here: perfbench/layers.py probes this binding (analysis.scalar).
+from ..core import wctt_summary  # noqa: F401
 
 __all__ = ["ScenarioWCTTPoint", "run", "report"]
 
@@ -60,10 +63,6 @@ class ScenarioWCTTPoint:
         }
 
 
-#: Accepted values for the ``engine`` parameter of :func:`run`.
-ENGINES = ("auto", "vector", "scalar")
-
-
 @experiment(
     "scenario_wctt",
     description="WCTT bound summary of one arbitrary Scenario design point",
@@ -71,7 +70,6 @@ ENGINES = ("auto", "vector", "scalar")
     sweep_axes={
         "packet_flits": lambda v: {"packet_flits": v},
         "scenario": lambda v: {"scenario": v.to_dict() if isinstance(v, Scenario) else v},
-        "engine": lambda v: {"engine": v},
         "analysis": lambda v: {"analysis": v},
     },
 )
@@ -79,7 +77,6 @@ def run(
     *,
     scenario: Optional[Union[Scenario, Mapping[str, Any]]] = None,
     packet_flits: int = 1,
-    engine: str = "auto",
     analysis: Optional[str] = None,
 ) -> List[ScenarioWCTTPoint]:
     """Evaluate the WCTT bound summary for ``scenario``.
@@ -88,25 +85,15 @@ def run(
     form (the shape a daemon submission travels in); the default is the
     4x4 WaW+WaP mesh.  ``packet_flits`` is the analysed packet length.
 
-    ``engine`` selects the evaluation path: ``"auto"`` (default) uses the
-    numpy-vectorized engine of :mod:`repro.analysis.vector` whenever the
-    design point supports it and falls back to the scalar analysis
-    otherwise; ``"vector"`` demands the vectorized path (raises with the
-    reason when unsupported); ``"scalar"`` forces the per-flow reference
-    path.  Both paths produce bit-identical summaries (enforced by
-    ``tests/test_differential_analysis.py``), so the flag never changes
-    results -- only throughput.
-
-    ``analysis`` selects a registered :class:`~repro.analysis.AnalysisBackend`
-    (``regular``, ``weighted``, ``holistic``, ``trajectory``, ``vector``)
-    instead of the paper's default dispatch; the scenario's own
-    ``Scenario.analysis(...)`` selection is honoured when the parameter is
-    left ``None``.  Unlike ``engine`` this *changes numbers* -- backends are
-    competing bounds -- so an explicit backend takes precedence over the
-    engine flag.
+    ``analysis`` names a registered :class:`~repro.analysis.AnalysisBackend`
+    (``regular``, ``weighted``, ``holistic``, ``trajectory``); left ``None``
+    it defers to the scenario's own ``Scenario.analysis(...)`` selection,
+    and without one the paper's rule picks the bound for the design point
+    (WaW-only designs, which have no sound bound, raise ``ValueError``).
+    Backends are competing bounds, so the choice changes numbers.  Where
+    the chosen backend has a numpy kernel for the design point it is used
+    (bit-identical to the scalar analysis).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if scenario is None:
         scenario = Scenario.mesh(4).waw_wap()
     elif isinstance(scenario, Mapping):
@@ -117,28 +104,12 @@ def run(
         )
     config = scenario.build()
 
-    effective_analysis = analysis if analysis is not None else scenario.settings.get("analysis")
+    name = analysis if analysis is not None else scenario.settings.get("analysis")
+    backend = make_analysis_backend(name)
+    summary = backend.wctt_summary(config, packet_flits=packet_flits)
     label = scenario.label()
-    if effective_analysis is not None:
-        from ..analysis.backends import make_analysis_backend
-
-        backend = make_analysis_backend(effective_analysis)
-        backend.require(config)
-        summary = backend.wctt_summary(config, packet_flits=packet_flits)
-        if "analysis" not in scenario.settings:
-            label = f"{label}-{backend.name}"
-    else:
-        from ..analysis.vector import vector_supported, vector_wctt_summary
-
-        reason = vector_supported(config)
-        if engine == "vector" and reason is not None:
-            raise ValueError(f"engine='vector' cannot evaluate this scenario: {reason}")
-        if engine != "scalar" and reason is None:
-            summary = vector_wctt_summary(config, packet_flits=packet_flits)
-        else:
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            analysis_obj = make_wctt_analysis(config)
-            summary = wctt_summary(analysis_obj, flows, packet_flits=packet_flits)
+    if name is not None and "analysis" not in scenario.settings:
+        label = f"{label}-{backend.name}"
     return [
         ScenarioWCTTPoint(
             label=label,
@@ -158,20 +129,12 @@ def report(
     *,
     scenario: Optional[Union[Scenario, Mapping[str, Any]]] = None,
     packet_flits: int = 1,
-    engine: str = "auto",
     analysis: Optional[str] = None,
 ) -> str:
     points = (
         unwrap(points)
         if points is not None
-        else unwrap(
-            run(
-                scenario=scenario,
-                packet_flits=packet_flits,
-                engine=engine,
-                analysis=analysis,
-            )
-        )
+        else unwrap(run(scenario=scenario, packet_flits=packet_flits, analysis=analysis))
     )
     title = format_title("WCTT bound summary (all-to-one memory traffic)")
     table = format_table([p.as_dict() for p in points])

@@ -1,9 +1,7 @@
 """The AnalysisBackend registry and the competing flow-aware analyses.
 
-Everything here runs without numpy: the ``vector`` backend is only exercised
-through its ``supports`` predicate (which reports "numpy is not installed"
-when the import guard tripped) so the scalar fallback paths stay covered by
-the no-numpy CI job.
+Everything here runs without numpy: the backends then fall back to their
+scalar analyses, so those paths stay covered by the no-numpy CI job.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import pytest
 from repro.analysis.backends import (
     AnalysisBackend,
     HolisticAnalysisBackend,
-    PaperAnalysisBackend,
     available_analysis_backends,
     make_analysis_backend,
     normalize_analysis_backend_name,
@@ -24,6 +21,7 @@ from repro.analysis.flowaware import (
     HolisticAnalysis,
     TrajectoryAnalysis,
 )
+from repro.analysis.validation import validate_flow_bound
 from repro.api.results import unwrap
 from repro.api.scenario import Scenario, ScenarioError, sweep
 from repro.core import (
@@ -34,6 +32,7 @@ from repro.core import (
     regular_mesh_config,
     waw_wap_config,
 )
+from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
 from repro.geometry import Coord
@@ -48,7 +47,6 @@ class TestRegistry:
             "holistic",
             "regular",
             "trajectory",
-            "vector",
             "weighted",
         ]
 
@@ -58,7 +56,6 @@ class TestRegistry:
             ("regular-mesh", "regular"),
             ("waw_wap", "weighted"),
             ("waw-wap", "weighted"),
-            ("numpy", "vector"),
             ("holistic", "holistic"),
         ],
     )
@@ -81,9 +78,14 @@ class TestRegistry:
         with pytest.raises(TypeError, match="AnalysisBackend"):
             make_analysis_backend(42)
 
+    @pytest.mark.parametrize("name", ["vector", "numpy"])
+    def test_vector_is_not_a_backend(self, name):
+        with pytest.raises(ValueError, match="known backends: holistic, regular"):
+            normalize_analysis_backend_name(name)
+
     def test_none_resolves_to_paper_dispatch(self):
         backend = make_analysis_backend(None)
-        assert isinstance(backend, PaperAnalysisBackend)
+        assert backend.name not in available_analysis_backends()
         waw = waw_wap_config(3, 3)
         regular = regular_mesh_config(3, 3)
         assert isinstance(backend.analysis(waw), WaWWaPWCTTAnalysis)
@@ -132,13 +134,53 @@ class TestSupports:
         with pytest.raises(ValueError, match="does not apply"):
             make_analysis_backend("regular").analysis(waw_wap_config(3, 3))
 
-    def test_vector_supports_delegates_with_reasons(self):
-        backend = make_analysis_backend("vector")
-        torus = Scenario.mesh(3).waw_wap().topology("torus").build()
-        reason = backend.supports(torus)
-        # Without numpy the guard reports the missing dependency instead of
-        # the topology; both are valid refusals for the torus.
-        assert reason is not None and ("numpy" in reason or "wrap-around" in reason)
+    def test_only_the_paper_backends_have_kernels(self):
+        for design in ("regular", "waw_wap"):
+            config = Scenario.mesh(3).design(design).topology("torus").build()
+            # Wrap-around links (or a missing numpy) rule the kernels out.
+            assert make_analysis_backend(None).vector_analysis(config) is None
+        assert make_analysis_backend("holistic").vector_analysis(
+            waw_wap_config(3, 3)
+        ) is None
+
+
+# ----------------------------------------------------------------------
+# The paper's rule: one selector for every entry point
+# ----------------------------------------------------------------------
+class TestPaperRule:
+    WAW_ONLY = Scenario.mesh(4).waw_only()
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda config: make_wctt_analysis(config),
+            lambda config: UBDTable(config),
+            lambda config: validate_flow_bound(config, Coord(1, 0), Coord(0, 0)),
+        ],
+        ids=["make_wctt_analysis", "UBDTable", "validate_flow_bound"],
+    )
+    def test_waw_only_is_refused_with_the_regular_reason(self, entry_point):
+        with pytest.raises(ValueError, match="'regular' does not apply.*round-robin"):
+            entry_point(self.WAW_ONLY.build())
+
+    def test_scenario_wctt_refuses_waw_only(self):
+        with pytest.raises(ValueError, match="'regular' does not apply.*round-robin"):
+            scenario_wctt.run(scenario=self.WAW_ONLY)
+
+    def test_default_supports_matches_the_picked_backend(self):
+        default = make_analysis_backend(None)
+        assert "round-robin" in default.supports(self.WAW_ONLY.build())
+        for design in ("regular", "wap", "waw_wap"):
+            assert default.supports(Scenario.mesh(4).design(design).build()) is None
+
+    def test_wap_only_keeps_regular_bound_with_minimum_contenders(self):
+        config = Scenario.mesh(4).wap_only().build()
+        analysis = make_wctt_analysis(config)
+        assert isinstance(analysis, RegularMeshWCTTAnalysis)
+        assert analysis.contender_packet_flits == config.min_packet_flits
+        row = unwrap(scenario_wctt.run(scenario=Scenario.mesh(4).wap_only()))[0]
+        assert row.design == "regular"
+        assert row.wctt_max == make_analysis_backend("regular").wctt_summary(config).maximum
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +306,16 @@ class TestWiring:
         assert rebuilt.settings == scenario.settings
 
     def test_scenario_analysis_resolves_aliases_and_rejects_unknowns(self):
-        assert Scenario.mesh(3).analysis("numpy").settings["analysis"] == "vector"
+        assert Scenario.mesh(3).analysis("waw-wap").settings["analysis"] == "weighted"
         assert "analysis" not in Scenario.mesh(3).analysis(None).settings
         with pytest.raises(ScenarioError, match="known backends"):
             Scenario.mesh(3).analysis("bogus")
+
+    def test_scenario_analysis_vector_lists_known_backends(self):
+        with pytest.raises(
+            ScenarioError, match="known backends: holistic, regular, trajectory, weighted"
+        ):
+            Scenario.mesh(3).analysis("vector")
 
     def test_sweep_axis_spans_backends(self):
         grid = sweep(Scenario.mesh(3).waw_wap(), analysis=("holistic", "trajectory"))

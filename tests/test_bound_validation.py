@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.validation import validate_design, validate_flow_bound
+from repro.analysis.validation import (
+    adversarial_probe_latencies,
+    validate_design,
+    validate_flow_bound,
+)
+from repro.api import Scenario
 from repro.core.config import regular_mesh_config, waw_wap_config
+from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.geometry import Coord
 
 
@@ -61,3 +67,26 @@ class TestValidateDesign:
         distances = sorted(r.source.manhattan(r.destination) for r in results)
         assert distances[0] == 1
         assert distances[-1] == 6
+
+
+class TestWaWOnlyCounterexample:
+    """Why the default selection refuses WaW-only designs: the regular-mesh
+    bound assumes round-robin arbitration, and weighted arbitration lets
+    the heavier inputs overtake the victim more than once per grant."""
+
+    SOURCE, DESTINATION = Coord(1, 0), Coord(0, 0)
+
+    def test_simulation_exceeds_the_regular_bound(self):
+        config = Scenario.mesh(4).waw_only().build()
+        bound = RegularMeshWCTTAnalysis(config).wctt_packet(
+            self.SOURCE, self.DESTINATION, packet_flits=config.min_packet_flits
+        )
+        assert bound == 24
+        observed = max(adversarial_probe_latencies(config, self.SOURCE, self.DESTINATION))
+        assert observed > bound
+
+    def test_regular_design_stays_below_its_bound_on_the_same_flow(self):
+        result = validate_flow_bound(
+            Scenario.mesh(4).build(), self.SOURCE, self.DESTINATION
+        )
+        assert result.is_safe

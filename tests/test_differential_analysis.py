@@ -6,7 +6,10 @@ to :func:`statistics.mean`): the numpy kernels are a pure performance
 feature and must never change a single bound.  This file sweeps a wide grid
 of design points and asserts exact equality on every surface the engine
 exposes -- packet maps, message grids in both directions, all-to-one
-summaries, UBD tables and the ``scenario_wctt`` experiment wiring.
+summaries, UBD tables and the ``scenario_wctt`` experiment wiring.  The
+kernels are never selected by hand: the default analysis selection uses
+them wherever :func:`vector_supported` allows, so every wiring test
+compares that default against the scalar reference.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.analysis.vector import (
     VectorWaWWaPAnalysis,
     closed_form_count_arrays,
     evaluate_grid,
-    make_vector_analysis,
     vector_supported,
     vector_ubd_entries,
     vector_wctt_map,
@@ -51,6 +53,40 @@ from repro.topology import ConcentratedMesh
 
 MESHES = [(2, 2), (3, 3), (4, 4), (5, 3), (3, 5), (1, 5), (5, 1)]
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
+
+#: Default-selection grid: every design with a sound bound (regular, WaP
+#: only, WaW+WaP), meshes 2x2 to 5x3 and three packet sizes, plus torus and
+#: YX points, which the kernels refuse (the default runs the scalar path).
+DEFAULT_GRID = [
+    Scenario.mesh(width, height).design(design).max_packet_flits(flits)
+    for design in ("regular", "wap", "waw_wap")
+    for width, height in [(2, 2), (3, 3), (4, 4), (5, 3)]
+    for flits in (1, 2, 4)
+] + [
+    Scenario.mesh(4).design(design).topology(kind, **options)
+    for design in ("regular", "wap", "waw_wap")
+    for kind, options in [("torus", {}), ("mesh", {"routing": "yx"})]
+]
+
+
+def default_kernel(config):
+    """The vector kernel the default analysis selection picks for ``config``."""
+    return make_analysis_backend(None).vector_analysis(config)
+
+
+def scalar_reference_summary(config):
+    flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
+    return wctt_summary(make_wctt_analysis(config), flows)
+
+
+def scalar_reference_ubd(config):
+    """The UBD table from per-core route walks of the scalar analysis."""
+    analysis = (
+        WaWWaPWCTTAnalysis.for_memory_traffic(config)
+        if config.is_waw_wap
+        else make_wctt_analysis(config)
+    )
+    return UBDTable(config, analysis=analysis)
 
 
 def _destinations(mesh: Mesh):
@@ -92,7 +128,7 @@ class TestPacketMaps:
     def test_wctt_map_bit_identical(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         for destination in _destinations(config.mesh):
             for packet_flits in (1, config.min_packet_flits if design == "waw_wap" else 7):
                 assert vector_wctt_map(
@@ -119,7 +155,7 @@ class TestPacketMaps:
         for design, fn in CONFIG_FNS.items():
             config = fn(3, 4, timing=timing, buffer_depth=2)
             scalar = make_wctt_analysis(config)
-            vector = make_vector_analysis(config)
+            vector = default_kernel(config)
             for destination in _destinations(config.mesh):
                 assert vector_wctt_map(vector, destination) == wctt_map(
                     scalar, destination
@@ -132,7 +168,7 @@ class TestPacketMaps:
             base, mesh=ConcentratedMesh(3, 3, concentration=concentration)
         )
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         for destination in _destinations(config.mesh):
             assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
 
@@ -142,7 +178,7 @@ class TestMessageGrids:
     def test_waw_message_to_and_from(self, payload):
         config = waw_wap_config(4, 3)
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         mc = config.memory_controller
         to_grid = vector.message_grid_to(mc, payload_flits=payload)
         from_grid = vector.message_grid_from(mc, payload_flits=payload)
@@ -160,7 +196,7 @@ class TestMessageGrids:
     def test_regular_message_to(self, payload):
         config = regular_mesh_config(4, 3)
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         for destination in _destinations(config.mesh):
             grid = vector.message_grid_to(destination, payload_flits=payload)
             for node in config.mesh.nodes():
@@ -197,65 +233,47 @@ class TestSummaries:
 
 
 class TestUBDTables:
-    @pytest.mark.parametrize("width,height", [(2, 2), (4, 4), (5, 3)])
-    def test_auto_equals_scalar_engine(self, width, height):
-        config = waw_wap_config(width, height)
-        auto = UBDTable(config)
-        scalar = UBDTable(config, engine="scalar")
-        assert auto.as_dict() == scalar.as_dict()
+    @pytest.mark.parametrize("scenario", DEFAULT_GRID, ids=Scenario.label)
+    def test_default_selection_equals_scalar_reference(self, scenario):
+        config = scenario.build()
+        assert UBDTable(config).as_dict() == scalar_reference_ubd(config).as_dict()
 
-    def test_vector_entries_match_scalar_build(self):
-        config = waw_wap_config(4, 4)
-        scalar = UBDTable(config, engine="scalar")
-        analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
+    @pytest.mark.parametrize("design", ["regular", "waw_wap"])
+    def test_vector_entries_match_scalar_build(self, design):
+        config = CONFIG_FNS[design](4, 4)
+        scalar = scalar_reference_ubd(config)
+        weights = getattr(scalar.analysis, "weights", None)
+        kernel = make_analysis_backend(None).vector_analysis(config, weight_table=weights)
         entries = vector_ubd_entries(
-            config,
-            weight_table=analysis.weights,
-            regulated_contenders=analysis.regulated_contenders,
-            service_latency=MemoryTiming().service_latency,
+            kernel, service_latency=MemoryTiming().service_latency
         )
         assert entries == scalar.as_dict()
 
-    def test_regular_design_still_scalar(self):
-        # The auto path only applies to WaW+WaP analyses; a regular design
-        # must keep producing the reference table.
-        config = regular_mesh_config(3, 3)
-        assert UBDTable(config).as_dict() == UBDTable(config, engine="scalar").as_dict()
-
-    def test_unsupported_topology_falls_back(self):
-        config = Scenario.mesh(4).waw_wap().topology("torus").build()
-        assert UBDTable(config).as_dict() == UBDTable(config, engine="scalar").as_dict()
-
 
 class TestExperimentWiring:
-    @pytest.mark.parametrize("design", ["regular", "waw_wap"])
-    def test_engine_flag_never_changes_results(self, design):
-        scenario = Scenario.mesh(4).design(design)
-        results = {
-            engine: unwrap(scenario_wctt.run(scenario=scenario, engine=engine))
-            for engine in scenario_wctt.ENGINES
-        }
-        assert results["vector"] == results["scalar"] == results["auto"]
+    @pytest.mark.parametrize("scenario", DEFAULT_GRID, ids=Scenario.label)
+    def test_default_selection_equals_scalar_reference(self, scenario):
+        config = scenario.build()
+        reference = scalar_reference_summary(config)
+        (row,) = unwrap(scenario_wctt.run(scenario=scenario))
+        assert (row.design, row.wctt_max, row.wctt_min) == (
+            reference.design,
+            reference.maximum,
+            reference.minimum,
+        )
+        assert row.wctt_mean == round(reference.average, 2)
+        assert make_analysis_backend(None).wctt_summary(config) == reference
 
-    def test_engine_vector_raises_with_reason_on_torus(self):
-        scenario = Scenario.mesh(4).waw_wap().topology("torus")
-        with pytest.raises(ValueError, match="wrap-around"):
-            scenario_wctt.run(scenario=scenario, engine="vector")
+    def test_engine_knob_is_gone(self):
+        assert not hasattr(scenario_wctt, "ENGINES")
+        with pytest.raises(TypeError, match="engine"):
+            scenario_wctt.run(engine="scalar")
 
-    def test_engine_vector_raises_with_reason_on_yx(self):
-        scenario = Scenario.mesh(4).waw_wap().topology("mesh", routing="yx")
-        with pytest.raises(ValueError, match="XY routing"):
-            scenario_wctt.run(scenario=scenario, engine="vector")
-
-    def test_auto_falls_back_to_scalar_on_unsupported(self):
-        scenario = Scenario.mesh(4).waw_wap().topology("torus")
-        auto = unwrap(scenario_wctt.run(scenario=scenario, engine="auto"))
-        scalar = unwrap(scenario_wctt.run(scenario=scenario, engine="scalar"))
-        assert auto == scalar
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            scenario_wctt.run(engine="turbo")
+    @pytest.mark.parametrize("scenario", DEFAULT_GRID[-6:], ids=Scenario.label)
+    def test_unsupported_points_have_no_kernel(self, scenario):
+        config = scenario.build()
+        assert vector_supported(config) is not None
+        assert default_kernel(config) is None
 
 
 class TestSupportPredicate:
@@ -330,22 +348,21 @@ class TestAnalysisBackendParity:
 
     @pytest.mark.parametrize("width,height", MESHES)
     @pytest.mark.parametrize("design", ["regular", "waw_wap"])
-    def test_vector_backend_matches_paper_backend(self, width, height, design):
+    def test_default_backend_matches_paper_backend(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
         paper = make_analysis_backend(self.BACKEND_FOR_DESIGN[design])
-        vector = make_analysis_backend("vector")
-        assert vector.supports(config) is None
+        default = make_analysis_backend(None)
+        assert default.supports(config) is None
         for destination in _destinations(config.mesh):
-            assert vector.wctt_map(config, destination) == paper.wctt_map(
+            assert default.wctt_map(config, destination) == paper.wctt_map(
                 config, destination
             )
-        assert vector.wctt_summary(config) == paper.wctt_summary(config)
+        assert default.wctt_summary(config) == paper.wctt_summary(config)
 
-    @pytest.mark.parametrize("backend", ["weighted", "vector"])
-    def test_ubd_backend_bit_identical(self, backend):
+    def test_ubd_backend_bit_identical(self):
         config = waw_wap_config(4, 4)
         assert (
-            UBDTable(config, backend=backend).as_dict() == UBDTable(config).as_dict()
+            UBDTable(config, backend="weighted").as_dict() == UBDTable(config).as_dict()
         )
 
     def test_ubd_regular_backend_bit_identical(self):

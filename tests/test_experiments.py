@@ -21,7 +21,7 @@ from repro.experiments import (
     table2_wctt,
     table3_eembc,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.geometry import Coord
 from repro.manycore.cache import CacheConfig
 from repro.workloads.eembc import autobench_suite
@@ -209,14 +209,11 @@ class TestBoundValidationExperiment:
 
 
 class TestRunner:
-    def test_experiment_registry_is_complete(self):
-        assert set(EXPERIMENTS) == {
-            "table1", "table2", "table3", "fig2a", "fig2b",
-            "avgperf", "area", "ablation", "validation", "reliability_sweep",
-            "scenario_wctt", "bound_comparison",
-        }
-        for name, spec in EXPERIMENTS.items():
-            assert spec["description"]
+    def test_runner_exports_no_experiment_table(self):
+        from repro.experiments import runner
+
+        assert runner.__all__ == ["main", "run_experiment"]
+        assert not hasattr(runner, "EXPERIMENTS")
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

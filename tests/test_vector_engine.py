@@ -19,11 +19,11 @@ from repro.analysis.vector import (
     GridEvaluator,
     VectorWaWWaPAnalysis,
     evaluate_grid,
-    make_vector_analysis,
     vector_supported,
     vector_wctt_map,
     vector_wctt_summary,
 )
+from repro.analysis.backends import make_analysis_backend
 from repro.api.scenario import Scenario, sweep
 from repro.core import (
     FlowSet,
@@ -40,13 +40,18 @@ from repro.geometry import Coord, Mesh
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
 
 
+def default_kernel(config):
+    """The vector kernel the default analysis selection picks for ``config``."""
+    return make_analysis_backend(None).vector_analysis(config)
+
+
 class TestDegenerateShapes:
     @pytest.mark.parametrize("width,height", [(1, 2), (1, 6), (2, 1), (6, 1)])
     @pytest.mark.parametrize("design", ["regular", "waw_wap"])
     def test_single_row_and_column_meshes(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         for destination in config.mesh.nodes():
             assert vector_wctt_map(vector, destination) == wctt_map(
                 scalar, destination
@@ -104,7 +109,7 @@ class TestProperties:
         config = CONFIG_FNS[design](width, height, buffer_depth=buffer_depth)
         destination = Coord(dx, dy)
         scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
 
     @given(
@@ -133,9 +138,35 @@ class TestProperties:
                 mc, node, payload_flits=payload
             )
 
+    @given(
+        width=st.integers(1, 5),
+        height=st.integers(1, 5),
+        payload=st.integers(1, 12),
+        max_flits=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_regular_messages_both_directions(
+        self, width, height, payload, max_flits
+    ):
+        config = regular_mesh_config(width, height, max_packet_flits=max_flits)
+        scalar = make_wctt_analysis(config)
+        vector = default_kernel(config)
+        mc = config.memory_controller
+        to_grid = vector.message_grid_to(mc, payload_flits=payload)
+        from_grid = vector.message_grid_from(mc, payload_flits=payload)
+        for node in config.mesh.nodes():
+            if node == mc:
+                continue
+            assert int(to_grid[node.y, node.x]) == scalar.wctt_message(
+                node, mc, payload_flits=payload
+            )
+            assert int(from_grid[node.y, node.x]) == scalar.wctt_message(
+                mc, node, payload_flits=payload
+            )
+
     def test_waw_packet_size_validation_matches_scalar(self):
         config = waw_wap_config(3, 3)
-        vector = make_vector_analysis(config)
+        vector = default_kernel(config)
         too_big = config.min_packet_flits + 1
         with pytest.raises(ValueError, match="minimum size"):
             vector.wctt_grid_to(Coord(0, 0), packet_flits=too_big)
