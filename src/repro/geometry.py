@@ -76,6 +76,12 @@ class Port(Enum):
     YPLUS = "Y+"
     YMINUS = "Y-"
 
+    # Members are singletons (unpickling returns the same object), so the
+    # identity hash is consistent with equality and runs in C; ``Enum``'s own
+    # ``__hash__`` is a Python-level call on every ``Port``-keyed dict lookup
+    # of the router hot path.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Port.{self.name}"
 

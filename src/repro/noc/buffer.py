@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from .flit import Flit
 
@@ -25,40 +25,25 @@ class FlitBuffer:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._fifo: Deque[Flit] = deque()
+        #: The FIFO itself, head of line first.  Readers use it directly: the
+        #: router peeks at ``flits[0]`` and releases with ``flits.popleft()``;
+        #: only ``push`` goes through the buffer, to enforce the capacity.
+        self.flits: Deque[Flit] = deque()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._fifo)
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._fifo)
+        return len(self.flits)
 
     @property
     def is_full(self) -> bool:
-        return len(self._fifo) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._fifo
+        return len(self.flits) >= self.capacity
 
     # ------------------------------------------------------------------
     def push(self, flit: Flit) -> None:
         """Append a flit; raises if the upstream violated credit flow control."""
         if self.is_full:
             raise OverflowError(f"{self.name}: push into a full buffer (credit protocol violation)")
-        self._fifo.append(flit)
-
-    def peek(self) -> Optional[Flit]:
-        """Head-of-line flit without removing it (``None`` when empty)."""
-        return self._fifo[0] if self._fifo else None
-
-    def pop(self) -> Flit:
-        """Remove and return the head-of-line flit."""
-        if not self._fifo:
-            raise IndexError(f"{self.name}: pop from an empty buffer")
-        return self._fifo.popleft()
+        self.flits.append(flit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FlitBuffer({self.name}, {len(self)}/{self.capacity})"

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..geometry import Coord
+from ..geometry import Coord, Port
 
 __all__ = ["FlitType", "Flit", "Packet", "Message"]
 
@@ -145,6 +145,10 @@ class Flit:
     #: lost flit is an erasure.  Either mark also sets ``packet.faulty``.
     corrupted: bool = False
     lost: bool = False
+    #: Output port a head flit requests at the router whose input buffer
+    #: holds it, written by that router's route computation on arrival;
+    #: ``None`` on body and tail flits.
+    out_port: Optional[Port] = None
 
     @property
     def is_head(self) -> bool:

@@ -77,6 +77,29 @@ class Network:
             for coord in self.topology.nodes()
         }
 
+        # Wiring resolved once, so applying an event is a dict lookup: the
+        # router each directional output feeds, the router feeding each
+        # directional input, and the NIC behind each router's LOCAL port.
+        self._downstream: Dict[Router, Dict[Port, Router]] = {}
+        self._upstream: Dict[Router, Dict[Port, Router]] = {}
+        for coord, router in self.routers.items():
+            self._downstream[router] = {
+                port: self.routers[self.topology.downstream(coord, port)]
+                for port in router.output_ports
+                if port is not Port.LOCAL
+            }
+            self._upstream[router] = {
+                port: self.routers[self.topology.upstream(coord, port)]
+                for port in router.input_ports
+                if port is not Port.LOCAL
+            }
+        self._local_nic: Dict[Router, NIC] = {
+            router: self.nics[coord] for coord, router in self.routers.items()
+        }
+        self._local_router: Dict[NIC, Router] = {
+            nic: self.routers[coord] for coord, nic in self.nics.items()
+        }
+
         self.cycle = 0
         self.stats = NetworkStats()
         for nic in self.nics.values():
@@ -96,8 +119,12 @@ class Network:
         #: end of each cycle).  NICs keep no idle-cycle state, so leaving
         #: the set needs no settling.
         self._busy_nics: Dict[NIC, None] = {}
+        # ``setdefault(nic)`` inserts the NIC with a ``None`` value.  The
+        # listener refers to the busy set, not to the network, so a drained
+        # network holds no reference cycle and is freed as soon as its last
+        # user drops it, instead of waiting for a full garbage collection.
         for nic in self.nics.values():
-            nic.set_work_listener(self._note_busy_nic)
+            nic.set_work_listener(self._busy_nics.setdefault)
 
     # ------------------------------------------------------------------
     # Public API
@@ -170,10 +197,6 @@ class Network:
 
         self._apply_events(events, now)
         self._finish_cycle()
-
-    def _note_busy_nic(self, nic: NIC) -> None:
-        """NIC work listener: its injection queue just went non-empty."""
-        self._busy_nics[nic] = None
 
     def _finish_cycle(self) -> None:
         """Prune the busy sets (settling leaving routers) and advance time."""
@@ -277,11 +300,6 @@ class Network:
             tag = event[0]
             if tag == "forward":
                 _, router, out_port, flit = event
-                downstream = self.topology.downstream(router.coord, out_port)
-                if downstream is None:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"flit forwarded off the topology at {router.coord} {out_port}"
-                    )
                 if injector is not None:
                     # Faults strike on router-to-router link traversals (the
                     # local NIC-router connection is reliable on-die wiring).
@@ -291,26 +309,23 @@ class Network:
                 delay = timing.link_latency + (
                     timing.routing_latency if flit.is_head else timing.flit_cycle
                 )
-                receiver = self.routers[downstream]
+                receiver = self._downstream[router][out_port]
                 receiver.accept_flit(out_port, flit, now + delay)
                 self._busy_routers[receiver] = None
             elif tag == "eject":
                 _, router, flit = event
-                self.nics[router.coord].receive_flit(flit, now + 1)
+                self._local_nic[router].receive_flit(flit, now + 1)
                 self.stats.record_flit_hop(flit)
             elif tag == "credit":
                 _, router, in_port = event
                 if in_port is Port.LOCAL:
-                    self.nics[router.coord].return_injection_credit()
+                    self._local_nic[router].return_injection_credit()
                 else:
-                    upstream = self.topology.upstream(router.coord, in_port)
-                    if upstream is None:  # pragma: no cover - defensive
-                        raise RuntimeError(f"credit towards a missing neighbour at {router.coord}")
-                    self.routers[upstream].return_credit(in_port)
+                    self._upstream[router][in_port].return_credit(in_port)
             elif tag == "inject":
                 _, nic, flit = event
                 delay = timing.routing_latency if flit.is_head else timing.flit_cycle
-                receiver = self.routers[nic.coord]
+                receiver = self._local_router[nic]
                 receiver.accept_flit(Port.LOCAL, flit, now + delay)
                 self._busy_routers[receiver] = None
             else:  # pragma: no cover - defensive

@@ -24,6 +24,14 @@ buffer and their eligibility for allocation (``RouterTiming.routing_latency``),
 which reproduces the zero-load per-hop latency of a multi-stage router
 without simulating every stage.
 
+Route computation is a pipeline stage of its own, run once per hop: when a
+head flit enters an input buffer (:meth:`Router.accept_flit`) the router
+looks its destination up in its row of the topology's next-port table
+(:meth:`~repro.topology.Topology.next_port_row`, built once per topology and
+shared by every network on it) and stores the requested output port on the
+flit (``Flit.out_port``).  Switch allocation then only compares that stored
+port against each output port; it never re-routes a waiting flit.
+
 Routers never move flits directly; they emit *events* (forward, eject,
 credit return) that the :class:`~repro.noc.network.Network` applies at the
 end of the cycle, making the simulation independent of the order in which
@@ -32,7 +40,7 @@ routers are evaluated within a cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.arbitration import Arbiter, make_arbiter
 from ..core.config import NoCConfig
@@ -48,6 +56,9 @@ __all__ = ["Router", "RouterEvent"]
 #: ``("eject", router, flit)``             -- flit is delivered to the local NIC;
 #: ``("credit", router, in_port)``         -- one credit is returned upstream of ``in_port``.
 RouterEvent = Tuple
+
+#: An input port with its FIFO, as switch allocation scans them.
+_Input = Tuple[Port, Deque[Flit]]
 
 
 class Router:
@@ -82,6 +93,11 @@ class Router:
         }
 
         self.arbiters: Dict[Port, Arbiter] = {}
+        inputs = {port: (port, buffer.flits) for port, buffer in self.buffers.items()}
+        #: Switch allocation order: each output port some input may request,
+        #: with its arbiter and the (input port, FIFO) pairs of the arbiter's
+        #: candidates.  An output without candidates is never owned.
+        self._allocation: List[Tuple[Port, Arbiter, Tuple[_Input, ...]]] = []
         for out_port in self.output_ports:
             candidates = self.topology.legal_inputs_for_output(coord, out_port)
             if not candidates:
@@ -91,9 +107,16 @@ class Router:
                 if (config.is_waw and weight_table is not None)
                 else None
             )
-            self.arbiters[out_port] = make_arbiter(
+            arbiter = self.arbiters[out_port] = make_arbiter(
                 candidates, weighted=config.is_waw, weights=weights
             )
+            self._allocation.append((out_port, arbiter, tuple(inputs[p] for p in candidates)))
+        #: Every input FIFO, for the emptiness and readiness scans.
+        self._fifos: List[Deque[Flit]] = [buffer.flits for buffer in self.buffers.values()]
+        #: Route computation: this router's output port for every destination,
+        #: indexed by row-major node id (its row of the next-port table).
+        self._next_port = self.topology.next_port_row(coord)
+        self._width = self.topology.width
 
         # Statistics / idle bookkeeping.
         self.forwarded_flits = 0
@@ -103,15 +126,22 @@ class Router:
     # Buffer interface used by the network when applying events
     # ------------------------------------------------------------------
     def accept_flit(self, in_port: Port, flit: Flit, ready_cycle: int) -> None:
-        """Enqueue an incoming flit on ``in_port`` (called by the network)."""
+        """Enqueue an incoming flit on ``in_port`` (called by the network).
+
+        This is the route-computation stage: a head flit gets the output
+        port it requests here stored in ``flit.out_port``.
+        """
         flit.ready_cycle = ready_cycle
         self.buffers[in_port].push(flit)
+        if flit.is_head:
+            destination = flit.packet.message.destination
+            flit.out_port = self._next_port[destination.y * self._width + destination.x]
 
     def buffered_flits(self) -> int:
-        return sum(len(buf) for buf in self.buffers.values())
+        return sum(map(len, self._fifos))
 
     def has_work(self) -> bool:
-        return any(len(buf) for buf in self.buffers.values())
+        return any(self._fifos)
 
     # ------------------------------------------------------------------
     # Activity introspection / bulk idle (event-driven backend support)
@@ -124,12 +154,8 @@ class Router:
         forwarding) starts from a head-of-line flit whose ``ready_cycle`` has
         been reached.
         """
-        best: Optional[int] = None
-        for buffer in self.buffers.values():
-            flit = buffer.peek()
-            if flit is not None and (best is None or flit.ready_cycle < best):
-                best = flit.ready_cycle
-        return best
+        ready = [fifo[0].ready_cycle for fifo in self._fifos if fifo]
+        return min(ready) if ready else None
 
     def skip_cycles(self, cycles: int) -> None:
         """Replay ``cycles`` consecutive no-activity steps in closed form.
@@ -176,15 +202,24 @@ class Router:
             return
         self._was_idle = False
 
-        for out_port in self.output_ports:
-            arbiter = self.arbiters.get(out_port)
-            owner = self.output_owner[out_port]
+        output_owner = self.output_owner
+        input_grant = self.input_grant
+        for out_port, arbiter, candidates in self._allocation:
+            owner = output_owner[out_port]
             if owner is not None:
                 self._forward_from(owner, out_port, now, events)
                 continue
-            if arbiter is None:
-                continue
-            requesters = self._requesters(out_port, now)
+            # The requesters: free inputs whose ready head-of-line flit asks
+            # for this output.  Only head flits carry an ``out_port``, so the
+            # comparison also filters out body and tail flits.
+            requesters = [
+                in_port
+                for in_port, fifo in candidates
+                if fifo
+                and fifo[0].out_port is out_port
+                and fifo[0].ready_cycle <= now
+                and input_grant[in_port] is None
+            ]
             if not requesters:
                 arbiter.idle_cycle()
                 continue
@@ -195,42 +230,21 @@ class Router:
             winner = arbiter.grant(requesters)
             if winner is None:  # pragma: no cover - requesters is non-empty
                 continue
-            self.output_owner[out_port] = winner
-            self.input_grant[winner] = out_port
+            output_owner[out_port] = winner
+            input_grant[winner] = out_port
             self._forward_from(winner, out_port, now, events)
 
     # ------------------------------------------------------------------
-    def _requesters(self, out_port: Port, now: int) -> List[Port]:
-        """Input ports whose head-of-line header flit requests ``out_port``."""
-        arbiter = self.arbiters[out_port]
-        requesters: List[Port] = []
-        for in_port in arbiter.candidates:
-            buffer = self.buffers.get(in_port)
-            if buffer is None:
-                continue
-            flit = buffer.peek()
-            if flit is None or not flit.is_head:
-                continue
-            if flit.ready_cycle > now:
-                continue
-            if self.input_grant[in_port] is not None:
-                continue
-            if self.topology.output_port(self.coord, flit.destination) is not out_port:
-                continue
-            requesters.append(in_port)
-        return requesters
-
     def _forward_from(
         self, in_port: Port, out_port: Port, now: int, events: List[RouterEvent]
     ) -> None:
         """Move one flit of the packet owning ``out_port`` (if possible)."""
-        buffer = self.buffers[in_port]
-        flit = buffer.peek()
-        if flit is None or flit.ready_cycle > now:
+        fifo = self.buffers[in_port].flits
+        if not fifo or fifo[0].ready_cycle > now:
             return
         if out_port is not Port.LOCAL and self.output_credits[out_port] <= 0:
             return
-        flit = buffer.pop()
+        flit = fifo.popleft()
         self.forwarded_flits += 1
         # Return a credit to whoever feeds this input port.
         events.append(("credit", self, in_port))

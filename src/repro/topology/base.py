@@ -10,7 +10,9 @@ interface defined here:
 * physical connectivity (``downstream``, ``upstream``, ``input_ports``,
   ``output_ports``, ``links()``);
 * deterministic routing (``route(src, dst)``, ``output_port(current, dst)``)
-  driven by a pluggable dimension-ordered :class:`RoutingStrategy` (XY or YX);
+  driven by a pluggable dimension-ordered :class:`RoutingStrategy` (XY or YX)
+  and read from one next-port table per topology (``next_port_row``), which
+  the simulator's routers consult too;
 * the static legal-turn relation the time-composable analyses rely on
   (``legal_inputs_for_output`` / ``legal_outputs_for_input``).
 
@@ -118,14 +120,14 @@ class RoutingStrategy:
             raise ValueError(f"axes must be a permutation of ('x', 'y'), got {self.axes}")
 
     # ------------------------------------------------------------------
-    def output_port(self, steps: Dict[str, int]) -> Port:
+    def output_port(self, x_step: int, y_step: int) -> Port:
         """Output port for the per-axis signed steps (``0`` = axis resolved).
 
-        ``steps["x"]`` is ``+1``/``-1``/``0`` for travel in +x / -x / done,
-        likewise for ``"y"``; returns ``LOCAL`` when both axes are resolved.
+        ``x_step`` is ``+1``/``-1``/``0`` for travel in +x / -x / done,
+        likewise ``y_step``; returns ``LOCAL`` when both axes are resolved.
         """
         for axis in self.axes:
-            step = steps[axis]
+            step = x_step if axis == "x" else y_step
             if step > 0:
                 return Port.XPLUS if axis == "x" else Port.YPLUS
             if step < 0:
@@ -183,7 +185,10 @@ class Topology(Mesh):
 
         Must be *consistent*: repeatedly stepping must reach the destination
         in a minimal number of hops, and the step must not change sign along
-        the way (dimension-ordered routes never reverse within an axis).
+        the way (dimension-ordered routes never reverse within an axis).  It
+        may depend only on the two coordinates along ``axis``, which lets
+        :meth:`next_port_row` compute a row from one step per column and per
+        row of the grid.
         """
         raise NotImplementedError
 
@@ -218,16 +223,39 @@ class Topology(Mesh):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def next_port_row(self, current: Coord) -> Tuple[Port, ...]:
+        """Output port selected at ``current`` for every destination.
+
+        One row of the topology's next-port table, indexed by the
+        destination's :meth:`~repro.geometry.Mesh.node_id`.  The table is
+        shared by every topology equal to this one and each row is computed
+        on first use, so a router pays for its routes once per topology and a
+        route query touches only the rows along its path.
+        """
+        rows = _next_port_rows(self)
+        node = self.node_id(current)
+        row = rows[node]
+        if row is None:
+            x_steps = [
+                0 if x == current.x else self.axis_step(current, Coord(x, current.y), "x")
+                for x in range(self.width)
+            ]
+            y_steps = [
+                0 if y == current.y else self.axis_step(current, Coord(current.x, y), "y")
+                for y in range(self.height)
+            ]
+            port = {
+                (dx, dy): self.routing.output_port(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            }
+            row = rows[node] = tuple(port[dx, dy] for dy in y_steps for dx in x_steps)
+        return row
+
     def output_port(self, current: Coord, destination: Coord) -> Port:
         """Output port selected at ``current`` for ``destination``.
 
         Returns ``Port.LOCAL`` when ``current == destination``.
         """
-        steps = {
-            "x": 0 if current.x == destination.x else self.axis_step(current, destination, "x"),
-            "y": 0 if current.y == destination.y else self.axis_step(current, destination, "y"),
-        }
-        return self.routing.output_port(steps)
+        return self.next_port_row(current)[self.node_id(destination)]
 
     def route(self, source: Coord, destination: Coord) -> List[Hop]:
         """Full deterministic route from ``source`` to ``destination``.
@@ -238,7 +266,7 @@ class Topology(Mesh):
         ``Hop(router, LOCAL, LOCAL)``.
         """
         self.require(source)
-        self.require(destination)
+        target = self.node_id(destination)
 
         hops: List[Hop] = []
         current = source
@@ -246,7 +274,7 @@ class Topology(Mesh):
         # The path length is bounded by the routed distance, so the loop below
         # always terminates; the explicit bound guards against routing bugs.
         for _ in range(self.distance(source, destination) + 1):
-            out_port = self.output_port(current, destination)
+            out_port = self.next_port_row(current)[target]
             hops.append(Hop(current, in_port, out_port))
             if out_port is Port.LOCAL:
                 return hops
@@ -302,6 +330,14 @@ class Topology(Mesh):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe_short()
+
+
+@lru_cache(maxsize=128)
+def _next_port_rows(topology: Topology) -> List[Optional[Tuple[Port, ...]]]:
+    """The next-port table of ``topology``: one row per node, ``None`` until
+    :meth:`Topology.next_port_row` first computes it.  Keyed by value, so
+    equal topologies (e.g. the configs of a Monte-Carlo study) share it."""
+    return [None] * topology.num_nodes
 
 
 @lru_cache(maxsize=128)

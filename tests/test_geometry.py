@@ -68,6 +68,18 @@ class TestPort:
         assert Port.LOCAL.value == "PME"
         assert Port.XPLUS.value == "X+"
 
+    @pytest.mark.parametrize("port", list(Port))
+    def test_pickle_round_trip_keeps_identity_and_dict_lookup(self, port):
+        # Ports hash by identity; multi-process Monte-Carlo ships them to
+        # workers, so unpickling must return the very same member.
+        import pickle
+
+        restored = pickle.loads(pickle.dumps(port))
+        assert restored is port
+        assert hash(restored) == hash(port)
+        assert {p: p.value for p in Port}[restored] == port.value
+        assert pickle.loads(pickle.dumps({port: 1}))[port] == 1
+
 
 # ----------------------------------------------------------------------
 # Mesh

@@ -90,24 +90,21 @@ class TestFlitBuffer:
         flits = [self._flit() for _ in range(3)]
         for flit in flits:
             buffer.push(flit)
-        assert buffer.peek() is flits[0]
-        assert [buffer.pop() for _ in range(3)] == flits
-        assert buffer.is_empty
+        assert buffer.flits[0] is flits[0]
+        assert [buffer.flits.popleft() for _ in range(3)] == flits
+        assert not buffer.flits and len(buffer) == 0
 
     def test_overflow_raises(self):
         buffer = FlitBuffer(2)
         buffer.push(self._flit())
         buffer.push(self._flit())
-        assert buffer.is_full and buffer.free_slots == 0
+        assert buffer.is_full and len(buffer) == buffer.capacity
         with pytest.raises(OverflowError):
             buffer.push(self._flit())
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            FlitBuffer(1).pop()
-
-    def test_peek_empty_returns_none(self):
-        assert FlitBuffer(1).peek() is None
+    def test_new_buffer_is_empty(self):
+        buffer = FlitBuffer(1)
+        assert not buffer.flits and len(buffer) == 0 and not buffer.is_full
 
     @given(ops=st.lists(st.booleans(), min_size=1, max_size=60))
     @settings(max_examples=40)
@@ -116,7 +113,8 @@ class TestFlitBuffer:
         for is_push in ops:
             if is_push and not buffer.is_full:
                 buffer.push(self._flit())
-            elif not is_push and not buffer.is_empty:
-                buffer.pop()
+            elif not is_push and buffer.flits:
+                buffer.flits.popleft()
             assert 0 <= len(buffer) <= buffer.capacity
-            assert buffer.free_slots == buffer.capacity - len(buffer)
+            assert len(buffer) == len(buffer.flits)
+            assert buffer.is_full == (len(buffer) == buffer.capacity)

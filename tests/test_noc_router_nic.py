@@ -88,6 +88,28 @@ class TestRouter:
         router.step(1, events)
         assert [e for e in events if e[0] == "forward"]
 
+    def test_one_input_sends_two_flits_in_one_cycle(self):
+        """Pins current behaviour: a tail's release frees its input port
+        before later output ports are arbitrated in the same cycle, so the
+        next head flit on that input is granted too.  Real routers send at
+        most one flit per input per cycle; changing this moves the goldens.
+        """
+        config = regular_mesh_config(3)
+        router = Router(Coord(1, 1), config)
+        to_here = make_flits(Coord(0, 1), Coord(1, 1), 1)[0]
+        onwards = make_flits(Coord(0, 1), Coord(2, 1), 1)[0]
+        router.accept_flit(Port.XPLUS, to_here, ready_cycle=0)
+        router.accept_flit(Port.XPLUS, onwards, ready_cycle=0)
+        events = []
+        router.step(0, events)
+        assert events == [
+            ("credit", router, Port.XPLUS),
+            ("eject", router, to_here),
+            ("credit", router, Port.XPLUS),
+            ("forward", router, Port.XPLUS, onwards),
+        ]
+        assert not router.has_work()
+
     def test_credit_overflow_detected(self):
         config = regular_mesh_config(4)
         router = Router(Coord(1, 1), config)

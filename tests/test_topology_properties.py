@@ -149,6 +149,38 @@ def test_route_matches_per_router_output_port(case):
         assert topology.output_port(hop.router, destination) is hop.out_port
 
 
+def _reference_output_port(topology, current, destination):
+    """Output port from the topology's structure hooks, without the table."""
+    steps = {
+        axis: 0
+        if getattr(current, axis) == getattr(destination, axis)
+        else topology.axis_step(current, destination, axis)
+        for axis in ("x", "y")
+    }
+    for axis in topology.routing.axes:
+        if steps[axis] > 0:
+            return Port.XPLUS if axis == "x" else Port.YPLUS
+        if steps[axis] < 0:
+            return Port.XMINUS if axis == "x" else Port.YMINUS
+    return Port.LOCAL
+
+
+@SETTINGS
+@given(topology_and_endpoints())
+def test_next_port_table_matches_output_port_for_every_pair(case):
+    """The routers' next-port table, Topology.output_port and the routing
+    definition agree for every (node, destination) pair."""
+    topology, _, _ = case
+    nodes = list(topology.nodes())
+    for node in nodes:
+        row = topology.next_port_row(node)
+        assert len(row) == topology.num_nodes
+        for destination in nodes:
+            port = row[topology.node_id(destination)]
+            assert port is topology.output_port(node, destination)
+            assert port is _reference_output_port(topology, node, destination)
+
+
 @SETTINGS
 @given(topology_and_endpoints())
 def test_self_route_is_a_single_local_hop(case):
